@@ -1,8 +1,9 @@
 // Command recursor runs the module's ECS recursive resolver on real
 // UDP+TCP sockets with a selectable behavior profile, forwarding cache
-// misses to a configured authoritative server. Pointing it at authdns
-// gives a two-process, real-socket replica of the paper's measurement
-// setup.
+// misses to a configured authoritative server over one long-lived
+// dnsclient.Pipeline (shared sockets, in-flight demux, TCP fallback on
+// truncation). Pointing it at authdns gives a two-process, real-socket
+// replica of the paper's measurement setup.
 //
 // Usage:
 //
@@ -12,7 +13,7 @@
 //	         [-negative-ttl 30s] [-min-ttl 0] [-max-ttl 0] [-no-coalesce]
 //
 // With -upstreams, cache misses go through the resilient upstream
-// pool instead of the single -upstream socket: health-gated failover
+// pool instead of the -upstream pipeline: health-gated failover
 // across the listed servers, optional request hedging (-hedge),
 // per-upstream circuit breakers (-breaker), and the adaptive EDNS
 // payload ladder (-edns-ladder) that steps 4096 → 1232 → TCP on
@@ -43,18 +44,46 @@ import (
 	"ecsdns/internal/upstreams"
 )
 
-// socketTransport adapts the stub client to the resolver's Transport
-// interface, mapping simulation addresses to the single configured
-// upstream socket.
-type socketTransport struct {
-	client   *dnsclient.Client
+// pipelineTransport adapts one long-lived dnsclient.Pipeline to the
+// resolver's Transport interface, sending every query to the single
+// configured upstream whatever simulation address the directory routed
+// it to. Each answer decodes into a fresh Message: the resolver caches
+// the answer's records, so a reused decode target would rewrite
+// entries already in the cache.
+type pipelineTransport struct {
+	pipe     *dnsclient.Pipeline
 	upstream string
 }
 
-func (t *socketTransport) Exchange(_, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, time.Duration, error) {
+// newPipelineTransport opens the upstream pipeline with its default
+// shards, timeout and retries.
+func newPipelineTransport(upstream netip.AddrPort) (*pipelineTransport, error) {
+	pipe, err := dnsclient.NewPipeline(dnsclient.PipelineConfig{})
+	if err != nil {
+		return nil, err
+	}
+	return &pipelineTransport{pipe: pipe, upstream: upstream.String()}, nil
+}
+
+func (t *pipelineTransport) Exchange(_, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, time.Duration, error) {
 	start := time.Now() //ecslint:ignore wallclock measures real upstream RTT
-	resp, err := t.client.Exchange(t.upstream, q)
+	resp, err := t.pipe.Exchange(context.Background(), t.upstream, q)
 	return resp, time.Since(start), err
+}
+
+// parseUpstream resolves the -upstream address once, at start-up, so a
+// bad address stops the recursor instead of failing every cache miss.
+func parseUpstream(spec string) (netip.AddrPort, error) {
+	raddr, err := net.ResolveUDPAddr("udp", spec)
+	if err != nil {
+		return netip.AddrPort{}, err
+	}
+	ap := raddr.AddrPort()
+	addr := ap.Addr().Unmap()
+	if !addr.IsValid() || addr.IsUnspecified() || ap.Port() == 0 {
+		return netip.AddrPort{}, fmt.Errorf("%q needs a host and a nonzero port", spec)
+	}
+	return netip.AddrPortFrom(addr, ap.Port()), nil
 }
 
 // poolTransport adapts the upstream pool's exchange primitives onto
@@ -187,9 +216,13 @@ func main() {
 	if *negTTL < 0 || *minTTL < 0 || *maxTTL < 0 {
 		log.Fatal("recursor: TTL clamps must be non-negative")
 	}
+	upstreamAddr, err := parseUpstream(*upstream)
+	if err != nil {
+		log.Fatalf("recursor: bad -upstream: %v", err)
+	}
 
 	// The directory routes the configured zone (and everything else) to
-	// a placeholder address; the socket transport ignores it and talks
+	// a placeholder address; the pipeline transport ignores it and talks
 	// to the upstream socket.
 	placeholder := netip.MustParseAddr("192.0.2.1")
 	dir := resolver.NewDirectory()
@@ -219,6 +252,7 @@ func main() {
 		DisableCoalescing: *noCoalesce,
 	}
 	var pool *upstreams.Pool
+	var upstreamPipe *pipelineTransport
 	if *upstreamsSpec != "" {
 		ups, targets, err := parsePoolSpec(*upstreamsSpec)
 		if err != nil {
@@ -258,7 +292,11 @@ func main() {
 		if *hedgeSpec != "" || *breakerSpec != "" || *ladderSpec != "" {
 			log.Fatal("recursor: -hedge, -breaker, and -edns-ladder require -upstreams")
 		}
-		resCfg.Transport = &socketTransport{client: &dnsclient.Client{}, upstream: *upstream}
+		upstreamPipe, err = newPipelineTransport(upstreamAddr)
+		if err != nil {
+			log.Fatalf("recursor: %v", err)
+		}
+		resCfg.Transport = upstreamPipe
 	}
 	res := resolver.New(resCfg)
 
@@ -297,6 +335,14 @@ func main() {
 			c.Issued, c.Won, c.Lost, c.Cancelled, c.Failed, c.Picks, c.Granted, c.Refused, c.Balanced())
 		log.Printf("recursor: pool hedges=%d failovers=%d breaker-trips=%d ladder-steps=%d tcp-fallbacks=%d fast-fails=%d",
 			c.Hedges, c.Failovers, c.BreakerTrips, c.LadderSteps, c.TCPFallbacks, c.FastFails)
+	}
+	if upstreamPipe != nil {
+		// The drain above let in-flight misses finish, so the pipeline's
+		// books can balance before it closes.
+		st := upstreamPipe.pipe.Stats()
+		log.Printf("recursor: upstream pipeline sent=%d received=%d timeouts=%d aborted=%d send-errors=%d retries=%d tcp-fallbacks=%d balanced=%v",
+			st.Sent, st.Received, st.Timeouts, st.Aborted, st.SendErrors, st.Retries, st.TCPFallbacks, st.Balanced())
+		upstreamPipe.pipe.Close()
 	}
 }
 

@@ -163,7 +163,7 @@ func runPipelineChaos(t *testing.T, cfg PipelineConfig) {
 	// Every Exchange has returned, so every submitted attempt has
 	// settled: the ledger must balance exactly.
 	st := p.Stats()
-	if st.Sent != st.Received+st.Timeouts+st.Aborted+st.SendErrors {
+	if !st.Balanced() {
 		t.Fatalf("accounting imbalance: Sent=%d != Received=%d + Timeouts=%d + Aborted=%d + SendErrors=%d",
 			st.Sent, st.Received, st.Timeouts, st.Aborted, st.SendErrors)
 	}
@@ -243,7 +243,7 @@ func TestPipelineCloseDuringFlood(t *testing.T) {
 		t.Fatal("exchanges hung after Close")
 	}
 	st := p.Stats()
-	if st.Sent != st.Received+st.Timeouts+st.Aborted+st.SendErrors {
+	if !st.Balanced() {
 		t.Fatalf("accounting imbalance after Close: %+v", st)
 	}
 }

@@ -128,6 +128,16 @@ func (c *Client) ExchangeUDP(server string, q *dnswire.Message) (*dnswire.Messag
 	return c.exchangeUDP(server, q, data)
 }
 
+// readBufPool holds the 64 KiB datagram buffers exchangeUDP reads
+// into. Unpack copies everything it keeps, so a buffer goes back to the
+// pool as soon as its exchange ends.
+var readBufPool = sync.Pool{
+	New: func() any {
+		b := make([]byte, 65535)
+		return &b
+	},
+}
+
 func (c *Client) exchangeUDP(server string, q *dnswire.Message, data []byte) (*dnswire.Message, error) {
 	conn, err := net.DialTimeout("udp", server, c.timeout())
 	if err != nil {
@@ -138,7 +148,9 @@ func (c *Client) exchangeUDP(server string, q *dnswire.Message, data []byte) (*d
 	if _, err := conn.Write(data); err != nil {
 		return nil, err
 	}
-	buf := make([]byte, 65535)
+	bp := readBufPool.Get().(*[]byte)
+	defer readBufPool.Put(bp)
+	buf := *bp
 	for {
 		n, err := conn.Read(buf)
 		if err != nil {

@@ -86,11 +86,15 @@ type PipelineStats struct {
 	// Truncated counts truncated responses received (whether they then
 	// moved to TCP or were returned as-is under NoTCPFallback).
 	Truncated int64
-	// TemplateHits counts queries packed from the wire-format template
-	// cache instead of a full encode.
-	TemplateHits int64
 	// Batches counts batch syscalls that carried more than one datagram.
 	Batches int64
+}
+
+// Balanced reports whether every submitted UDP attempt has terminated:
+// Sent == Received + Timeouts + Aborted + SendErrors. It holds once all
+// in-flight queries have drained.
+func (s PipelineStats) Balanced() bool {
+	return s.Sent == s.Received+s.Timeouts+s.Aborted+s.SendErrors
 }
 
 // pendingKey identifies one in-flight query within a shard: responses
@@ -156,8 +160,8 @@ var bufPool = sync.Pool{
 }
 
 // shard is one independent lane of the pipeline: its own socket, ID
-// space, demux table, and packed-query template cache. Nothing on the
-// send/receive hot path is shared between shards.
+// space, and demux table. Nothing on the send/receive hot path is
+// shared between shards.
 type shard struct {
 	p  *Pipeline
 	pc *net.UDPConn
@@ -166,8 +170,6 @@ type shard struct {
 	mu      sync.Mutex
 	rng     *rand.Rand
 	pending map[pendingKey]*waiter
-
-	tpl templateCache
 
 	sendq chan sendReq // non-nil when batch I/O is active
 	//ecschan:owner Close
@@ -199,9 +201,8 @@ type Pipeline struct {
 	hostMu    sync.RWMutex
 	hostCache map[string]netip.AddrPort
 
-	sent, received, retried, tcpFalls, mismatched atomic.Int64
-	timeouts, aborted, sendErrors, truncated      atomic.Int64
-	templateHits, batches                         atomic.Int64
+	sent, received, retried, tcpFalls, mismatched     atomic.Int64
+	timeouts, aborted, sendErrors, truncated, batches atomic.Int64
 }
 
 // NewPipeline opens one socket per shard and starts the reader (and,
@@ -236,7 +237,6 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 			pending: make(map[pendingKey]*waiter),
 			stopc:   make(chan struct{}),
 		}
-		s.tpl.init()
 		if cfg.Batch {
 			s.bc = newBatchConn(pc)
 		}
@@ -279,7 +279,6 @@ func (p *Pipeline) Stats() PipelineStats {
 		Aborted:      p.aborted.Load(),
 		SendErrors:   p.sendErrors.Load(),
 		Truncated:    p.truncated.Load(),
-		TemplateHits: p.templateHits.Load(),
 		Batches:      p.batches.Load(),
 	}
 }
@@ -584,13 +583,10 @@ func (p *Pipeline) ExchangeInto(ctx context.Context, server string, q *dnswire.M
 	s := p.shardFor(question, dest)
 
 	bp := bufPool.Get().(*[]byte)
-	data, hit, err := s.tpl.pack(q, (*bp)[:0])
+	data, err := q.AppendPack((*bp)[:0])
 	if err != nil {
 		bufPool.Put(bp)
 		return err
-	}
-	if hit {
-		p.templateHits.Add(1)
 	}
 	*bp = data[:0] // data may have outgrown the pooled backing array
 	defer bufPool.Put(bp)

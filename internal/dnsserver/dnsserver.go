@@ -24,6 +24,7 @@ import (
 	"net"
 	"net/netip"
 	"sync"
+	"syscall"
 	"time"
 
 	"ecsdns/internal/dnswire"
@@ -173,16 +174,11 @@ func (s *Server) now() time.Time {
 // ephemeral port, with TCP bound to whatever port UDP got) and begins
 // serving. It returns the bound address.
 func (s *Server) Start(addr string) (netip.AddrPort, error) {
-	pc, err := net.ListenPacket("udp", addr)
+	pc, ln, err := listenPair(addr)
 	if err != nil {
-		return netip.AddrPort{}, fmt.Errorf("dnsserver: udp listen: %w", err)
+		return netip.AddrPort{}, err
 	}
 	bound := pc.LocalAddr().(*net.UDPAddr).AddrPort()
-	ln, err := net.Listen("tcp", bound.String())
-	if err != nil {
-		pc.Close()
-		return netip.AddrPort{}, fmt.Errorf("dnsserver: tcp listen: %w", err)
-	}
 	var rl *rrl
 	if s.RRL != nil {
 		rl, err = newRRL(*s.RRL, s.now)
@@ -207,6 +203,27 @@ func (s *Server) Start(addr string) (netip.AddrPort, error) {
 		go s.udpWorker(pc)
 	}
 	return bound, nil
+}
+
+// listenPair binds UDP on addr and TCP on the port UDP got. For port 0
+// the kernel picks a port free for UDP, which a TCP socket may still
+// hold (a client connection in TIME_WAIT, say): then it picks again.
+func listenPair(addr string) (net.PacketConn, net.Listener, error) {
+	_, port, _ := net.SplitHostPort(addr) // a bad addr fails ListenPacket below
+	for try := 0; ; try++ {
+		pc, err := net.ListenPacket("udp", addr)
+		if err != nil {
+			return nil, nil, fmt.Errorf("dnsserver: udp listen: %w", err)
+		}
+		ln, err := net.Listen("tcp", pc.LocalAddr().String())
+		if err == nil {
+			return pc, ln, nil
+		}
+		pc.Close()
+		if port != "0" || try == 20 || !errors.Is(err, syscall.EADDRINUSE) {
+			return nil, nil, fmt.Errorf("dnsserver: tcp listen: %w", err)
+		}
+	}
 }
 
 // beginShutdown marks the server closed, stops new intake (the TCP

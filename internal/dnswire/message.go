@@ -239,96 +239,6 @@ func PeekHeader(wire []byte) (id uint16, response bool, ok bool) {
 	return uint16(wire[0])<<8 | uint16(wire[1]), wire[2]&0x80 != 0, true
 }
 
-// skipName advances past the name encoded at off without decoding it.
-func skipName(msg []byte, off int) (int, error) {
-	for {
-		if off >= len(msg) {
-			return 0, ErrShortMessage
-		}
-		c := msg[off]
-		switch {
-		case c == 0:
-			return off + 1, nil
-		case c&0xC0 == 0xC0:
-			if off+1 >= len(msg) {
-				return 0, ErrShortMessage
-			}
-			return off + 2, nil
-		case c&0xC0 != 0:
-			return 0, errReservedLabel
-		default:
-			off += 1 + int(c)
-		}
-	}
-}
-
-// FindOption locates the data bytes of the first EDNS option with the
-// given code inside a packed message, returning the offset of the
-// option data within msg and its length. It walks the message without
-// decoding it, so transports can record option positions (e.g. the ECS
-// payload inside a cached query template) for in-place patching later.
-func FindOption(msg []byte, code uint16) (off, n int, ok bool) {
-	if len(msg) < headerLen {
-		return 0, 0, false
-	}
-	p := &parser{msg: msg, off: 4}
-	var counts [4]int
-	for i := range counts {
-		c, err := p.uint16()
-		if err != nil {
-			return 0, 0, false
-		}
-		counts[i] = int(c)
-	}
-	for i := 0; i < counts[0]; i++ {
-		next, err := skipName(msg, p.off)
-		if err != nil {
-			return 0, 0, false
-		}
-		p.off = next + 4
-	}
-	for i := 0; i < counts[1]+counts[2]+counts[3]; i++ {
-		next, err := skipName(msg, p.off)
-		if err != nil {
-			return 0, 0, false
-		}
-		p.off = next
-		t, err := p.uint16()
-		if err != nil {
-			return 0, 0, false
-		}
-		p.off += 6 // class + ttl
-		rdlen, err := p.uint16()
-		if err != nil {
-			return 0, 0, false
-		}
-		end := p.off + int(rdlen)
-		if end > len(msg) {
-			return 0, 0, false
-		}
-		if Type(t) != TypeOPT {
-			p.off = end
-			continue
-		}
-		for p.off < end {
-			oc, err := p.uint16()
-			if err != nil {
-				return 0, 0, false
-			}
-			olen, err := p.uint16()
-			if err != nil || p.off+int(olen) > end {
-				return 0, 0, false
-			}
-			if oc == code {
-				return p.off, int(olen), true
-			}
-			p.off += int(olen)
-		}
-		p.off = end
-	}
-	return 0, 0, false
-}
-
 // Decode errors shared by Unpack and UnpackInto.
 var (
 	errOPTOutsideAdditional = errors.New("dnswire: OPT record outside additional section")

@@ -96,8 +96,8 @@ func TestAllocGateRoundTrip(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	// The combined hot loop the pipeline runs per query: patch the ID of
-	// a cached wire template, then decode the response in place.
+	// The combined hot loop the pipeline runs per attempt: patch the ID
+	// of the packed query, then decode the response in place.
 	wire := scanResponse(t)
 	query, err := scanQuery().Pack()
 	if err != nil {

@@ -393,8 +393,12 @@ func RunOverload(tb testing.TB, sc OverloadScenario) OverloadResult {
 	h.rearm()
 	drain := dialOverload(tb, addr)
 	sendOverloadQuery(tb, drain, 7002, "slow.drain.")
+	// Inflight alone is not enough: the aftermath query's worker counts
+	// as in flight until just after its answer is written, so the drain
+	// query could still sit unread in the socket when Shutdown stops
+	// the read loop. Once Received counts it, the drain must serve it.
 	waitServer(tb, srv, "drain query in flight", func(st dnsserver.ServerStats) bool {
-		return st.Inflight == 1
+		return st.Received == int64(factor*m+2) && st.Inflight == 1
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

@@ -2,6 +2,7 @@ package resolver
 
 import (
 	"net/netip"
+	"sync"
 	"testing"
 	"time"
 
@@ -21,6 +22,7 @@ type rig struct {
 	auth     *authority.Server
 	authAddr netip.Addr
 	res      *Resolver
+	logMu    sync.Mutex // concurrent misses log from several goroutines
 	logs     []authority.LogRecord
 }
 
@@ -41,7 +43,11 @@ func newRig(t *testing.T, profile Profile, scope authority.ScopeFunc) *rig {
 	z.SetWildcard(dnswire.TypeA, &dnswire.ARData{Addr: netip.MustParseAddr("192.0.2.80")})
 	z.MustAdd(dnswire.RR{Name: "test.example.", Data: &dnswire.NSRData{Host: "ns1.test.example."}})
 	rg.auth.AddZone(z)
-	rg.auth.SetLog(func(r authority.LogRecord) { rg.logs = append(rg.logs, r) })
+	rg.auth.SetLog(func(r authority.LogRecord) {
+		rg.logMu.Lock()
+		rg.logs = append(rg.logs, r)
+		rg.logMu.Unlock()
+	})
 	n.Register(rg.authAddr, rg.auth)
 
 	dir := NewDirectory()
